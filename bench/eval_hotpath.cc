@@ -8,7 +8,7 @@
  *            throwaway context (validation, per-layer times, resolved
  *            collectives), the pre-overhaul cost structure;
  *  - reuse:  EvalContext::evaluate per plan on one shared context —
- *            the per-plan marginal cost (stream build + schedule +
+ *            the per-plan marginal cost (graph splice + schedule +
  *            linear overlap sweep only);
  *  - sweep:  StrategyExplorer::explore through a fresh EvalEngine
  *            with `--jobs` workers (default 1), the end-to-end
@@ -16,11 +16,12 @@
  *            + OOM pruning). cold and reuse are always single-thread;
  *  - delta:  EvalContext::evaluateDelta over a precomputed
  *            single-class mutation walk — the guided-search workload
- *            shape — against the same walk through full evaluation.
- *            The delta path splices cached segment templates instead
- *            of rebuilding streams; the acceptance bar for PR 6 was
- *            >= 3x full evaluation on this workload
- *            (delta_over_full_speedup tracks it going forward).
+ *            shape — against the same walk through
+ *            EvalContext::evaluate. Both splice the graph from the
+ *            same cached segment arenas; evaluateDelta only keeps its
+ *            graph / schedule / sweep buffers alive across calls, so
+ *            delta_over_full_speedup measures that buffer reuse alone
+ *            (about 1.1-1.4x).
  *
  * Reference point: before the EvalContext overhaul (PR 4), the sweep
  * measurement on this workload ran at ~1530 evals/s on the CI
@@ -155,8 +156,8 @@ main(int argc, char **argv)
 
     // The walk evaluates through a timeline-free model — the DSE
     // configuration (see ParetoEngine) and the precondition for the
-    // incremental path (keepTimeline forces the full-evaluation
-    // fall-back). Full and delta share the context, so both sides
+    // incremental path (with keepTimeline, evaluateDelta just calls
+    // evaluate). Full and delta share the context, so both sides
     // measure the marginal per-eval cost on warmed strategy tables.
     PerfModelOptions mut_opts;
     mut_opts.keepTimeline = false;

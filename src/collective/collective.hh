@@ -219,9 +219,8 @@ std::unique_ptr<const CollectiveCostModel> makeCollectiveModel(
  * non-empty (a registry name, e.g. PerfModelOptions::collectiveModel),
  * else "topology" when the cluster carries a TopologySpec, else the
  * flat default. This is the single selection point every evaluation
- * path (EvalContext, self-contained StreamBuilder callers) goes
- * through. Defined in topology_model.cc so the topology model's
- * registration always links.
+ * goes through (via EvalContext). Defined in topology_model.cc so the
+ * topology model's registration always links.
  */
 std::unique_ptr<const CollectiveCostModel> makeCollectiveModelFor(
     const ClusterSpec &cluster, CollectiveLatency latency = {},

@@ -127,10 +127,9 @@ EvalContext::buildStrategyTable(size_t slot, HierStrategy hs) const
     }
     table.perLayer = std::move(per_layer);
 
-    // The delta path's segment templates ride along: symbolic
-    // per-layer event subgraphs for both prefetch variants, generated
-    // by the same emission code buildGraph() runs (see
-    // stream_builder.hh) so they cannot drift from the full path.
+    // The segment templates every graph is spliced from ride along:
+    // symbolic per-layer event subgraphs for both prefetch variants
+    // (see stream_builder.hh).
     for (int pf = 0; pf < 2; ++pf) {
         buildSegmentSet(*desc_, costs_, table.perLayer, false,
                         pf == 1, table.fwdSegs[pf]);
@@ -231,28 +230,21 @@ EvalContext::evaluate(const ParallelPlan &plan) const
     if (!report.memory.fits() && !options().ignoreMemory)
         return report;
 
-    StreamBuilder builder(*this, plan);
-    EventGraph graph = builder.buildGraph();
-    OverlapSimulator simulator(options().backgroundCommChannel);
-    FlatSchedule sched = simulator.scheduleGraph(graph);
-
-    fillScheduleReport(report, graph, sched);
-
-    if (options().keepTimeline) {
-        const size_t n = graph.nodes.size();
-        Timeline tl;
-        tl.events.reserve(n);
-        for (size_t i = 0; i < n; ++i) {
-            tl.events.push_back(ScheduledEvent{
-                graph.materialize(i), sched.start[i], sched.finish[i]});
-        }
-        tl.makespan = sched.makespan;
-        tl.computeBusy = sched.computeBusy;
-        tl.commBusy = sched.commBusy;
-        tl.exposedComm = sched.exposedComm;
-        report.timeline = std::move(tl);
-    }
+    DeltaState state;
+    spliceAndSchedule(state, plan, report);
+    if (options().keepTimeline)
+        report.timeline = materializeTimeline(state.graph, state.sched);
     return report;
+}
+
+void
+EvalContext::spliceAndSchedule(DeltaState &state, const ParallelPlan &plan,
+                               PerfReport &report) const
+{
+    spliceGraph(state, plan);
+    OverlapSimulator simulator(options().backgroundCommChannel);
+    simulator.scheduleGraphInto(state.graph, state.sched, state.scratch);
+    fillScheduleReport(report, state.graph, state.sched);
 }
 
 void
@@ -262,19 +254,20 @@ EvalContext::spliceGraph(DeltaState &state, const ParallelPlan &plan) const
     const bool backward = task_->needsBackward();
     const size_t pf = plan.fsdpPrefetch ? 1 : 0;
 
-    // Resolve each present class's strategy table once. This is where
-    // the incremental reuse lives: a plan differing from the previous
-    // one in K classes hits K possibly-cold table lookups (template
-    // construction only for strategies this context has never seen);
-    // every other layer's segment splices straight from cache.
-    const LayerClass all_classes[] = {
-        LayerClass::SparseEmbedding, LayerClass::DenseEmbedding,
-        LayerClass::BaseDense, LayerClass::Transformer, LayerClass::MoE};
-    const StrategyTable *tables[5];
-    for (LayerClass cls : all_classes) {
-        tables[static_cast<size_t>(cls)] =
-            &strategyTable(plan.strategyFor(cls));
-    }
+    // Resolve each present class's strategy table once, on its first
+    // run — absent classes never build planner passes or arenas. This
+    // is where the incremental reuse lives: a plan differing from the
+    // previous one in K classes hits K possibly-cold table lookups
+    // (template construction only for strategies this context has
+    // never seen); every other layer's segment splices straight from
+    // cache.
+    const StrategyTable *tables[5] = {};
+    auto tableFor = [&](LayerClass cls) -> const StrategyTable & {
+        const StrategyTable *&t = tables[static_cast<size_t>(cls)];
+        if (!t)
+            t = &strategyTable(plan.strategyFor(cls));
+        return *t;
+    };
 
     // Maximal same-class layer runs, then one fused splice: every
     // run is a contiguous range of one strategy table's packed arena
@@ -291,10 +284,9 @@ EvalContext::spliceGraph(DeltaState &state, const ParallelPlan &plan) const
         while (j < num_layers &&
                costs_[static_cast<size_t>(j)].cls == cls)
             ++j;
-        runs.push_back(
-            SpliceRun{&tables[static_cast<size_t>(cls)]->fwdSegs[pf],
-                      static_cast<uint32_t>(i),
-                      static_cast<uint32_t>(j - i), false});
+        runs.push_back(SpliceRun{&tableFor(cls).fwdSegs[pf],
+                                 static_cast<uint32_t>(i),
+                                 static_cast<uint32_t>(j - i), false});
         i = j;
     }
     if (backward) {
@@ -304,7 +296,7 @@ EvalContext::spliceGraph(DeltaState &state, const ParallelPlan &plan) const
             while (j >= 0 && costs_[static_cast<size_t>(j)].cls == cls)
                 --j;
             runs.push_back(SpliceRun{
-                &tables[static_cast<size_t>(cls)]->bwdSegs[pf],
+                &tableFor(cls).bwdSegs[pf],
                 static_cast<uint32_t>(num_layers - 1 - i),
                 static_cast<uint32_t>(i - j), true});
             i = j;
@@ -319,9 +311,10 @@ PerfReport
 EvalContext::evaluateDelta(DeltaState &state,
                            const ParallelPlan &plan) const
 {
-    // Fall-back: retained timelines need materialized events, which
-    // only the full path produces. The state's splice buffers are
-    // left untouched (and stay consistent with prevPlan).
+    // Retained timelines go through evaluate(), which materializes
+    // them; the state's buffers are left untouched and the call
+    // counts as a full evaluation (the EvalEngine's delta/full split
+    // reads lastUsedDelta).
     if (options().keepTimeline) {
         state.lastUsedDelta = false;
         return evaluate(plan);
@@ -342,15 +335,9 @@ EvalContext::evaluateDelta(DeltaState &state,
         return report;
     }
 
-    const bool incremental = state.hasPlan;
-    spliceGraph(state, plan);
-    OverlapSimulator simulator(options().backgroundCommChannel);
-    simulator.scheduleGraphInto(state.graph, state.sched, state.scratch);
-    fillScheduleReport(report, state.graph, state.sched);
-
-    state.prevPlan = plan;
+    spliceAndSchedule(state, plan, report);
+    state.lastUsedDelta = state.hasPlan;
     state.hasPlan = true;
-    state.lastUsedDelta = incremental;
     return report;
 }
 

@@ -114,8 +114,11 @@ class EvalContext
     const CollectiveCostModel &collectives() const { return *collectives_; }
 
     /**
-     * Evaluate one plan. Produces a report bit-identical to
-     * PerfModel::evaluate(desc, task, plan) on the bound model.
+     * Evaluate one plan: splice its event graph from the cached
+     * segment arenas into call-local buffers, schedule it, and (with
+     * PerfModelOptions::keepTimeline) materialize the Timeline.
+     * Produces a report bit-identical to PerfModel::evaluate(desc,
+     * task, plan) on the bound model.
      */
     PerfReport evaluate(const ParallelPlan &plan) const;
 
@@ -136,12 +139,12 @@ class EvalContext
         /** Context this state is bound to (managed by evaluateDelta). */
         const EvalContext *context = nullptr;
 
-        /** prevPlan holds the previously spliced plan. */
+        /** Has a plan been spliced through this state since it was
+         *  (re)bound? */
         bool hasPlan = false;
-        ParallelPlan prevPlan;
 
         /** Did the last evaluateDelta take the incremental path (a
-         *  prior splice to diff against, streams actually built)?
+         *  prior splice in these buffers, streams actually built)?
          *  False after fall-backs, first-time splices, and OOM
          *  verdicts — the EvalEngine's deltaEvals/fullEvals split
          *  reads this. */
@@ -160,21 +163,19 @@ class EvalContext
     };
 
     /**
-     * Evaluate one plan incrementally: splice the event graph from
-     * per-(layer-class strategy, prefetch) segment templates cached in
-     * this context's strategy tables — a candidate differing from the
-     * previous plan in K classes only pays template construction for
-     * strategies never seen before; everything else is resolved by
-     * splicing — then re-run the linear overlap sweep in @p state's
-     * persistent buffers. The report is bit-identical to evaluate().
+     * Evaluate one plan in @p state's persistent buffers: the same
+     * splice and overlap sweep as evaluate(), minus the per-call
+     * allocations. A candidate differing from the previous plan in K
+     * classes only pays template construction for strategies this
+     * context has never seen. The report is bit-identical to
+     * evaluate().
      *
-     * Falls back to the full path (leaving @p state's splice buffers
-     * untouched) when the model retains timelines
-     * (PerfModelOptions::keepTimeline — spliced graphs never
-     * materialize events) and short-circuits on OOM verdicts exactly
-     * like evaluate(). A context switch (different model / task /
-     * cluster, including a different present-class set via another
-     * ModelDesc) rebinds the state and starts from scratch.
+     * When the model retains timelines (PerfModelOptions::
+     * keepTimeline) this calls evaluate(), leaving @p state's buffers
+     * untouched; OOM verdicts short-circuit exactly like evaluate().
+     * A context switch (different model / task / cluster, including a
+     * different present-class set via another ModelDesc) rebinds the
+     * state and starts from scratch.
      */
     PerfReport evaluateDelta(DeltaState &state,
                              const ParallelPlan &plan) const;
@@ -211,7 +212,7 @@ class EvalContext
 
   private:
     /** Per-layer resolved ops for one (intra, inter) strategy pair,
-     *  plus the symbolic segment templates the delta path splices
+     *  plus the symbolic segment templates every graph is spliced
      *  from — both built together, published once. */
     struct StrategyTable
     {
@@ -233,6 +234,11 @@ class EvalContext
 
     /** Rebuild @p state's graph for @p plan from cached templates. */
     void spliceGraph(DeltaState &state, const ParallelPlan &plan) const;
+
+    /** spliceGraph, then schedule @p state's graph and fill @p report's
+     *  timing fields (everything but the optional Timeline). */
+    void spliceAndSchedule(DeltaState &state, const ParallelPlan &plan,
+                           PerfReport &report) const;
 
     /** Memoized CollectiveCostModel::estimate (only called while
      *  holding buildMutex_). */

@@ -2,7 +2,7 @@
  * @file
  * Shared interval arithmetic for exposed-communication accounting.
  *
- * Both historical call sites — OverlapSimulator::schedule's aggregate
+ * Both historical call sites — the overlap scheduler's aggregate
  * exposed-comm figure and PerfModel's per-category exposed breakdown —
  * used to re-derive comm-vs-compute overlaps with an O(comm x compute)
  * double loop each. They now share one linear sweep: comm intervals

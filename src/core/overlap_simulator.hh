@@ -7,19 +7,15 @@
  * dependencies are resolved"). Events on different streams with no
  * dependency between them overlap freely.
  *
- * Two entry points share one implementation:
- *
- *  - scheduleGraph(EventGraph) is the hot path: dense event ids index
- *    flat start/finish vectors (no hash map), dependencies come from
- *    the graph's shared arena, and exposed-communication accounting
- *    is a linear interval sweep (core/interval_sweep.hh) instead of
- *    the old O(comm x compute) double loop. The per-event
- *    raw-interval overlaps are returned so PerfModel's per-category
- *    exposed breakdown reuses this sweep instead of re-running its
- *    own quadratic pass.
- *  - schedule(vector<TraceEvent>) is the self-contained form (tests,
- *    trace tooling): it validates ids, converts to a flat graph, and
- *    returns a fully materialized Timeline.
+ * scheduleGraph(EventGraph) is the only entry point: dense event ids
+ * index flat start/finish vectors (no hash map), dependencies come
+ * from the graph's shared arena, and exposed-communication accounting
+ * is a linear interval sweep (core/interval_sweep.hh) instead of the
+ * old O(comm x compute) double loop. The per-event raw-interval
+ * overlaps are returned so PerfModel's per-category exposed breakdown
+ * reuses this sweep instead of re-running its own quadratic pass.
+ * materializeTimeline() copies a scheduled graph out into a Timeline
+ * for callers that keep one (PerfModelOptions::keepTimeline).
  */
 
 #ifndef MADMAX_CORE_OVERLAP_SIMULATOR_HH
@@ -84,17 +80,25 @@ struct SweepScratch
 };
 
 /**
+ * Copy @p graph and its schedule out into a standalone Timeline
+ * (names and dependency lists materialized per event) — the slow,
+ * allocating form, paid only when a Timeline is retained.
+ */
+Timeline materializeTimeline(const EventGraph &graph,
+                             const FlatSchedule &sched);
+
+/**
  * Schedules a per-device event DAG onto a compute stream and a
  * communication stream.
  *
  * Input contract: events are in issue order (each stream executes its
- * events in the order they appear), every dependency id refers to an
- * earlier event, a node's dependency list has no duplicates, and ids
- * are unique. Violations are internal errors. (The no-duplicates rule
- * lets the scheduler recognize a node with as many dependencies as
- * there are earlier nodes — the iteration-end barrier — and resolve
- * its ready time from the stream cursors instead of scanning a
- * graph-sized list; both builders satisfy it by construction.)
+ * events in the order they appear), every dependency index refers to
+ * an earlier event, and a node's dependency list has no duplicates.
+ * The contract is trusted, not checked. (The no-duplicates rule lets
+ * the scheduler recognize a node with as many dependencies as there
+ * are earlier nodes — the iteration-end barrier — and resolve its
+ * ready time from the stream cursors instead of scanning a
+ * graph-sized list; the splicer satisfies it by construction.)
  */
 class OverlapSimulator
 {
@@ -111,9 +115,9 @@ class OverlapSimulator
     {}
 
     /**
-     * Schedule a flat graph (hot path). Node indices are trusted to
-     * satisfy the issue-order contract — StreamBuilder::buildGraph
-     * guarantees it by construction.
+     * Schedule a flat graph. Node indices are trusted to satisfy the
+     * issue-order contract — the segment splicer
+     * (core/stream_builder.hh) guarantees it by construction.
      */
     FlatSchedule scheduleGraph(const EventGraph &graph) const;
 
@@ -127,14 +131,6 @@ class OverlapSimulator
      */
     void scheduleGraphInto(const EventGraph &graph, FlatSchedule &sched,
                            SweepScratch &scratch) const;
-
-    /**
-     * Schedule @p events and return the Timeline with per-event
-     * start/finish times, makespan, and exposed-communication
-     * accounting. Ids may be arbitrary (they are remapped internally)
-     * and are validated: duplicates and forward dependencies panic.
-     */
-    Timeline schedule(const std::vector<TraceEvent> &events) const;
 
   private:
     bool backgroundChannel_;

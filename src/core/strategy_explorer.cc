@@ -8,18 +8,6 @@
 namespace madmax
 {
 
-std::string
-toString(SearchAlgorithm algorithm)
-{
-    switch (algorithm) {
-      case SearchAlgorithm::Exhaustive: return "exhaustive";
-      case SearchAlgorithm::CoordinateDescent: return "coordinate-descent";
-      case SearchAlgorithm::SimulatedAnnealing: return "annealing";
-      case SearchAlgorithm::Genetic: return "genetic";
-    }
-    panic("toString: unknown SearchAlgorithm");
-}
-
 StrategyExplorer::StrategyExplorer(const PerfModel &model,
                                    EvalEngine *engine)
     : model_(model), shared_(engine)
@@ -150,7 +138,7 @@ StrategyExplorer::best(const ModelDesc &desc, const TaskSpec &task,
     SearchSpace space =
         makeSearchSpace({model}, desc, task, options.explorePrefetch);
     std::unique_ptr<SearchStrategy> strategy =
-        makeSearchStrategy(toString(options.algorithm));
+        makeSearchStrategy(options.algorithm);
     SearchOutcome outcome =
         strategy->run(space, engine(), options.search);
 

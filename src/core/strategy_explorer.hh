@@ -42,22 +42,6 @@ struct Exploration
     EvalStats stats;
 };
 
-/**
- * Search algorithm for the strategy space. Each value maps onto a
- * registered dse SearchStrategy (see dse/search_strategy.hh);
- * toString() yields the registry name.
- */
-enum class SearchAlgorithm
-{
-    Exhaustive,         ///< Full cartesian product (default).
-    CoordinateDescent,  ///< Greedy per-class sweeps until fixpoint.
-    SimulatedAnnealing, ///< Metropolis random walk, budgeted.
-    Genetic,            ///< Population search, budgeted.
-};
-
-/** The dse strategy-registry name ("exhaustive", ...). */
-std::string toString(SearchAlgorithm algorithm);
-
 /** Exploration knobs. */
 struct ExplorerOptions
 {
@@ -76,8 +60,13 @@ struct ExplorerOptions
     /** Also explore FSDP-prefetch variants of FSDP-bearing plans. */
     bool explorePrefetch = false;
 
-    /** How best() searches the space (explore() is always full). */
-    SearchAlgorithm algorithm = SearchAlgorithm::Exhaustive;
+    /**
+     * How best() searches the space (explore() is always full): a
+     * registered dse SearchStrategy name (see dse/search_strategy.hh —
+     * "exhaustive", "coordinate-descent", "annealing", "genetic").
+     * Unknown names throw ConfigError.
+     */
+    std::string algorithm = "exhaustive";
 
     /** Budget / seed knobs for the guided algorithms. */
     SearchOptions search;

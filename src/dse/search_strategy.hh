@@ -65,12 +65,13 @@ struct SearchOptions
     /**
      * Evaluate the guided searches (coordinate descent, annealing,
      * genetic) through a per-run DeltaSession: their mutate-and-retry
-     * loops re-evaluate near-identical plans, which the incremental
-     * splice path serves several times faster than full stream builds
-     * (bit-identical reports — the outcome does not change, only its
-     * cost; EvalStats::deltaEvals records how often the fast path
-     * ran). Exhaustive ignores this: its one wide batch belongs on
-     * the engine pool.
+     * loops re-evaluate plans one by one, and the session keeps one
+     * context and one set of splice / schedule buffers per
+     * (model, desc, task) alive across the run instead of allocating
+     * them per evaluation (bit-identical reports — the outcome does
+     * not change, only its cost; EvalStats::deltaEvals records how
+     * often the buffers were reused). Exhaustive ignores this: its
+     * one wide batch belongs on the engine pool.
      */
     bool deltaEval = true;
 

@@ -543,7 +543,7 @@ EvalEngine::evaluateAll(const std::vector<PlanRequest> &requests,
             if (pending[p].delta) {
                 // A throw mid-splice leaves the DeltaState's buffers
                 // unspecified; unbind so the next evaluation through
-                // this slot rebinds and takes the full-build path.
+                // this slot rebinds and starts from scratch.
                 pending[p].delta->context = nullptr;
                 pending[p].delta->hasPlan = false;
                 pending[p].delta->lastUsedDelta = false;

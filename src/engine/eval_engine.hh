@@ -60,11 +60,12 @@ struct EvalStats
      * Split of `evaluations` by evaluation path:
      * deltaEvals + fullEvals == evaluations, always. deltaEvals counts
      * evaluations that took the incremental splice path of a
-     * DeltaSession (EvalContext::evaluateDelta with a prior plan to
-     * reuse); fullEvals counts complete stream builds — including a
-     * session's first evaluation per context and every fall-back
-     * (keepTimeline, context switch, OOM verdict). Both stay 0 /
-     * equal to `evaluations` respectively when no session is passed.
+     * DeltaSession (EvalContext::evaluateDelta reusing an earlier
+     * splice's buffers); fullEvals counts the rest — one-shot
+     * EvalContext::evaluate calls, a session's first evaluation per
+     * context, and every fall-back (keepTimeline, context switch, OOM
+     * verdict). Both stay 0 / equal to `evaluations` respectively when
+     * no session is passed.
      */
     long deltaEvals = 0;
     long fullEvals = 0;

@@ -17,10 +17,10 @@
  *    copied when a caller materializes TraceEvents for a retained
  *    Timeline (PerfModelOptions::keepTimeline).
  *
- * Input contract (same as the TraceEvent form): nodes are in issue
- * order per stream and every dependency index is smaller than the
- * depending node's index — guaranteed by construction in
- * StreamBuilder.
+ * Input contract: nodes are in issue order per stream and every
+ * dependency index is smaller than the depending node's index —
+ * guaranteed by construction in the segment splicer
+ * (core/stream_builder.hh).
  */
 
 #ifndef MADMAX_TRACE_EVENT_GRAPH_HH

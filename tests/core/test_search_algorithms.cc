@@ -11,6 +11,7 @@
 #include "core/strategy_explorer.hh"
 #include "hw/hw_zoo.hh"
 #include "model/model_zoo.hh"
+#include "util/logging.hh"
 
 namespace madmax
 {
@@ -25,7 +26,7 @@ TEST(CoordinateDescent, MatchesExhaustiveOnDlrmA)
     long exhaustive_evals = exhaustive.stats.requests();
 
     ExplorerOptions cd;
-    cd.algorithm = SearchAlgorithm::CoordinateDescent;
+    cd.algorithm = "coordinate-descent";
     ExplorationResult greedy =
         explorer.best(model_zoo::dlrmA(), TaskSpec::preTraining(), cd);
     long greedy_evals = greedy.stats.requests();
@@ -52,7 +53,7 @@ TEST(CoordinateDescent, NearOptimalAcrossSuite)
         double exhaustive = explorer.best(m, TaskSpec::preTraining())
                                 .report.throughput();
         ExplorerOptions cd;
-        cd.algorithm = SearchAlgorithm::CoordinateDescent;
+        cd.algorithm = "coordinate-descent";
         double greedy = explorer.best(m, TaskSpec::preTraining(), cd)
                             .report.throughput();
         EXPECT_GE(greedy, 0.95 * exhaustive) << m.name;
@@ -72,7 +73,7 @@ TEST(CoordinateDescent, FewerEvaluationsOnLargeSpaces)
         explorer.best(m, TaskSpec::preTraining()).stats.requests();
 
     ExplorerOptions cd;
-    cd.algorithm = SearchAlgorithm::CoordinateDescent;
+    cd.algorithm = "coordinate-descent";
     long greedy_evals =
         explorer.best(m, TaskSpec::preTraining(), cd).stats.requests();
 
@@ -84,12 +85,26 @@ TEST(CoordinateDescent, SupportsUnconstrainedSearch)
     PerfModel model(hw_zoo::dlrmTrainingSystem());
     StrategyExplorer explorer(model);
     ExplorerOptions cd;
-    cd.algorithm = SearchAlgorithm::CoordinateDescent;
+    cd.algorithm = "coordinate-descent";
     cd.ignoreMemory = true;
     ExplorationResult r =
         explorer.best(model_zoo::dlrmA(), TaskSpec::preTraining(), cd);
     EXPECT_TRUE(r.report.valid);
     EXPECT_GT(r.report.throughput(), 0.0);
+}
+
+TEST(ExplorerOptionsTest, UnknownAlgorithmNameThrowsConfigError)
+{
+    // ExplorerOptions::algorithm is a search-strategy registry name;
+    // a name the registry does not know is a configuration error.
+    PerfModel model(hw_zoo::dlrmTrainingSystem());
+    StrategyExplorer explorer(model);
+    ExplorerOptions options;
+    options.algorithm = "gradient-descent";
+    EXPECT_THROW(
+        explorer.best(model_zoo::dlrmA(), TaskSpec::preTraining(),
+                      options),
+        ConfigError);
 }
 
 // --- Cross-product property battery -----------------------------------

@@ -1,10 +1,18 @@
+/**
+ * @file
+ * Structural tests of the §IV-C iteration streams, read off the
+ * Timeline PerfModel::evaluate retains: event presence and order,
+ * blocking vs non-blocking wiring, FSDP prefetch, and per-event
+ * compute costs.
+ */
+
 #include <gtest/gtest.h>
 
 #include <map>
 
+#include "core/eval_context.hh"
 #include "core/layer_processor.hh"
-#include "core/overlap_simulator.hh"
-#include "core/stream_builder.hh"
+#include "core/perf_model.hh"
 #include "hw/hw_zoo.hh"
 #include "model/model_zoo.hh"
 
@@ -14,15 +22,26 @@ namespace madmax
 namespace
 {
 
+/** The scheduled iteration of (desc, task, plan) on @p cluster. */
+Timeline
+buildTimeline(const ModelDesc &desc, const TaskSpec &task,
+              const ParallelPlan &plan, const ClusterSpec &cluster)
+{
+    PerfModel model(cluster);
+    PerfReport report = model.evaluate(desc, task, plan);
+    EXPECT_TRUE(report.memory.fits()) << desc.name;
+    return report.timeline;
+}
+
 std::vector<TraceEvent>
 buildEvents(const ModelDesc &desc, const TaskSpec &task,
             const ParallelPlan &plan, const ClusterSpec &cluster)
 {
-    LayerProcessor processor(cluster, desc);
-    CollectiveModel collectives(cluster);
-    StreamBuilder builder(desc, task, plan, cluster, processor,
-                          collectives);
-    return builder.build();
+    std::vector<TraceEvent> events;
+    for (ScheduledEvent &se :
+         buildTimeline(desc, task, plan, cluster).events)
+        events.push_back(std::move(se.event));
+    return events;
 }
 
 const TraceEvent *
@@ -152,13 +171,10 @@ TEST(StreamBuilder, FsdpPrefetchMovesGatherEarlier)
     ParallelPlan on = ParallelPlan::fsdpBaseline();
     on.fsdpPrefetch = true;
 
-    OverlapSimulator sim;
     Timeline t_off =
-        sim.schedule(buildEvents(desc, TaskSpec::preTraining(), off,
-                                 cluster));
+        buildTimeline(desc, TaskSpec::preTraining(), off, cluster);
     Timeline t_on =
-        sim.schedule(buildEvents(desc, TaskSpec::preTraining(), on,
-                                 cluster));
+        buildTimeline(desc, TaskSpec::preTraining(), on, cluster);
     EXPECT_LT(t_on.makespan, t_off.makespan);
     EXPECT_GT(t_on.overlapFraction(), t_off.overlapFraction());
     // Total communication volume is unchanged.
@@ -213,14 +229,9 @@ TEST(StreamBuilder, ScheduledStreamsRespectStreamExclusivity)
     // (blocking comm and compute are single-stream; background ops
     // are exempt).
     ModelDesc desc = model_zoo::dlrmATransformer();
-    ClusterSpec cluster = hw_zoo::dlrmTrainingSystem();
-    LayerProcessor processor(cluster, desc);
-    CollectiveModel collectives(cluster);
-    StreamBuilder builder(desc, TaskSpec::preTraining(),
-                          ParallelPlan::fsdpBaseline(), cluster,
-                          processor, collectives);
-    OverlapSimulator sim;
-    Timeline tl = sim.schedule(builder.build());
+    Timeline tl = buildTimeline(desc, TaskSpec::preTraining(),
+                                ParallelPlan::fsdpBaseline(),
+                                hw_zoo::dlrmTrainingSystem());
 
     std::vector<const ScheduledEvent *> compute, blocking_comm;
     for (const ScheduledEvent &se : tl.events) {
@@ -238,6 +249,44 @@ TEST(StreamBuilder, ScheduledStreamsRespectStreamExclusivity)
     };
     check_disjoint(compute);
     check_disjoint(blocking_comm);
+}
+
+TEST(StreamBuilder, DecodeComputeCarriesTaskAwareCosts)
+{
+    // A decode step prices forward compute per generated token (GEMV
+    // against the weights, floored by HBM streaming), not as the
+    // whole-context forward: every forward compute event must carry
+    // the context's task-aware cost, and the transformer blocks must
+    // come out cheaper than the task-blind forward.
+    ModelDesc desc = model_zoo::llama2_7b(512);
+    TaskSpec task = TaskSpec::decode(512);
+    ClusterSpec cluster = hw_zoo::llmTrainingSystem();
+    ParallelPlan plan;
+    plan.set(LayerClass::DenseEmbedding, HierStrategy{Strategy::DDP});
+    plan.set(LayerClass::Transformer, HierStrategy{Strategy::DDP});
+
+    PerfModel model(cluster);
+    EvalContext context(model, desc, task);
+    LayerProcessor processor(cluster, desc);
+    Timeline tl = buildTimeline(desc, task, plan, cluster);
+
+    int compute_events = 0;
+    int cheaper_than_blind = 0;
+    for (const ScheduledEvent &se : tl.events) {
+        const TraceEvent &ev = se.event;
+        EXPECT_FALSE(ev.backward && ev.layerIdx >= 0) << ev.name;
+        if (ev.stream != StreamKind::Compute || ev.layerIdx < 0)
+            continue;
+        ++compute_events;
+        EXPECT_EQ(ev.duration, context.layerCosts(ev.layerIdx).fwdTime)
+            << ev.name;
+        const Layer &layer = desc.graph.layer(ev.layerIdx);
+        if (layer.layerClass() == LayerClass::Transformer &&
+            ev.duration < processor.forwardTime(layer))
+            ++cheaper_than_blind;
+    }
+    EXPECT_EQ(compute_events, desc.graph.numLayers());
+    EXPECT_GT(cheaper_than_blind, 0);
 }
 
 } // namespace madmax

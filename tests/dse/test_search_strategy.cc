@@ -77,15 +77,6 @@ TEST(SearchStrategyRegistry, UnknownNameThrowsWithKnownList)
     }
 }
 
-TEST(SearchStrategyRegistry, AlgorithmEnumMapsToRegistry)
-{
-    for (SearchAlgorithm a :
-         {SearchAlgorithm::Exhaustive, SearchAlgorithm::CoordinateDescent,
-          SearchAlgorithm::SimulatedAnnealing, SearchAlgorithm::Genetic}) {
-        EXPECT_EQ(makeSearchStrategy(toString(a))->name(), toString(a));
-    }
-}
-
 TEST(SearchSpaceTest, MakeSearchSpaceFindsPresentClasses)
 {
     PerfModel model(hw_zoo::llmTrainingSystem());
