@@ -21,12 +21,13 @@
  *            same cached segment arenas; evaluateDelta only keeps its
  *            graph / schedule / sweep buffers alive across calls, so
  *            delta_over_full_speedup measures that buffer reuse alone
- *            (about 1.1-1.4x).
+ *            (1.0-1.4x). Records above 3x predate splice-only full
+ *            evaluation, when "full" still emitted the whole graph.
  *
  * Reference point: before the EvalContext overhaul (PR 4), the sweep
  * measurement on this workload ran at ~1530 evals/s on the CI
  * container (72 evaluations in 47.1 ms); the acceptance bar for the
- * overhaul was >= 3x that. The recorded sweep_evals_per_sec tracks
+ * overhaul was >= 3x that sweep rate (a sweep bar, not a delta one). The recorded sweep_evals_per_sec tracks
  * the same quantity going forward.
  *
  * Usage: eval_hotpath [--json BENCH_eval_hotpath.json] [--jobs N]

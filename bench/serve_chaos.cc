@@ -206,7 +206,6 @@ main(int argc, char **argv)
                     "ratio");
 
     CircuitBreakerStats br = service.breaker().stats();
-    BatchDispatcherStats bd = service.dispatcher().stats();
     HttpServerStats ts = server.stats();
     std::cout << strfmt(
         "degradation: breaker %ld trips / %ld rejects / %ld "
@@ -217,9 +216,6 @@ main(int argc, char **argv)
                     "count");
     reporter.record("eval_failures",
                     static_cast<double>(service.stats().evalFailures),
-                    "count");
-    reporter.record("watchdog_takeovers",
-                    static_cast<double>(bd.watchdogTakeovers),
                     "count");
 
     // The pass criteria: the storm let real work through, every

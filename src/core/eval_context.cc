@@ -151,12 +151,6 @@ EvalContext::strategyTable(HierStrategy hs) const
     return table;
 }
 
-const std::vector<ResolvedCommOp> &
-EvalContext::plannedOps(int idx, HierStrategy hs) const
-{
-    return strategyTable(hs).perLayer[static_cast<size_t>(idx)];
-}
-
 PerfReport
 EvalContext::verdict(const ParallelPlan &plan) const
 {

@@ -26,7 +26,7 @@
  *    event graph only carries pointers and plans that do not retain a
  *    Timeline never copy a string.
  *
- * Thread safety: evaluate()/verdict()/plannedOps() are safe to call
+ * Thread safety: evaluate()/verdict() are safe to call
  * concurrently. Per-strategy tables are built lazily under a mutex on
  * first use (a plan touches at most one strategy per layer class) and
  * are immutable once published.
@@ -195,16 +195,6 @@ class EvalContext
     {
         return costs_[static_cast<size_t>(idx)];
     }
-
-    /**
-     * The resolved collectives layer @p idx needs when its class runs
-     * under @p hs. Built lazily per strategy pair (one CommPlanner
-     * pass over the whole graph, shared by all layers), then served
-     * lock-free. The returned vector and its tag strings are stable
-     * for the context's lifetime.
-     */
-    const std::vector<ResolvedCommOp> &plannedOps(int idx,
-                                                  HierStrategy hs) const;
 
     /** Distinct (kind, scope, bytes) collective timings memoized so
      *  far (observability / tests). */

@@ -39,8 +39,8 @@ drawUnit(std::mt19937_64 &rng)
  *  append every result (including cache hits and pruned OOM verdicts)
  *  to @p out in request order. The batch is one evaluateAll call, so
  *  it rides the engine's context grouping and thread pool — or, when
- *  the strategy passes its DeltaSession, the incremental splice path
- *  (see SearchOptions::deltaEval). */
+ *  the strategy passes its per-run DeltaSession (the guided
+ *  strategies always do), the incremental splice path. */
 void
 evaluateInto(const SearchSpace &space, EvalEngine &engine,
              std::vector<std::pair<size_t, ParallelPlan>> points,
@@ -194,7 +194,6 @@ class CoordinateDescentSearch : public SearchStrategy
         // differ from the incumbent in one coordinate, the delta
         // path's best case.
         DeltaSession session;
-        DeltaSession *ds = options.deltaEval ? &session : nullptr;
 
         // Seed: the baseline plan — on the warm start's best hardware
         // point when the caller provided one, otherwise on every
@@ -209,7 +208,7 @@ class CoordinateDescentSearch : public SearchStrategy
                 seeds.emplace_back(hw, plan);
         }
         trimToBudget(seeds, budget, out.stats);
-        evaluateInto(space, engine, std::move(seeds), out, ds);
+        evaluateInto(space, engine, std::move(seeds), out, &session);
 
         size_t hwCur = 0;
         PerfReport best;
@@ -243,7 +242,7 @@ class CoordinateDescentSearch : public SearchStrategy
                 }
                 trimToBudget(trials, budget, out.stats);
                 size_t first = out.evaluated.size();
-                evaluateInto(space, engine, std::move(trials), out, ds);
+                evaluateInto(space, engine, std::move(trials), out, &session);
                 for (size_t i = first; i < out.evaluated.size(); ++i) {
                     const SearchCandidate &c = out.evaluated[i];
                     if (c.report.valid &&
@@ -264,7 +263,7 @@ class CoordinateDescentSearch : public SearchStrategy
             }
             trimToBudget(hwTrials, budget, out.stats);
             size_t first = out.evaluated.size();
-            evaluateInto(space, engine, std::move(hwTrials), out, ds);
+            evaluateInto(space, engine, std::move(hwTrials), out, &session);
             for (size_t i = first; i < out.evaluated.size(); ++i) {
                 const SearchCandidate &c = out.evaluated[i];
                 if (c.report.valid &&
@@ -298,7 +297,6 @@ class SimulatedAnnealingSearch : public SearchStrategy
         // single-point proposals mutate one coordinate at a time, so
         // nearly every evaluation takes the splice path.
         DeltaSession session;
-        DeltaSession *ds = options.deltaEval ? &session : nullptr;
 
         // Seed on the most promising hardware point: the warm start's
         // best when the caller provided one (ParetoEngine passes its
@@ -327,7 +325,7 @@ class SimulatedAnnealingSearch : public SearchStrategy
             }
         }
         trimToBudget(seeds, budget, out.stats);
-        evaluateInto(space, engine, std::move(seeds), out, ds);
+        evaluateInto(space, engine, std::move(seeds), out, &session);
 
         size_t hwCur = hwBest;
         ParallelPlan planCur = seedPlan(space);
@@ -398,7 +396,7 @@ class SimulatedAnnealingSearch : public SearchStrategy
                 continue; // Already visited; propose something new.
 
             size_t first = out.evaluated.size();
-            evaluateInto(space, engine, {{hwNext, planNext}}, out, ds);
+            evaluateInto(space, engine, {{hwNext, planNext}}, out, &session);
             const PerfReport &next = out.evaluated[first].report;
             temperature *= options.coolingRate;
             if (!next.valid)
@@ -440,7 +438,6 @@ class GeneticSearch : public SearchStrategy
         // small batches of near-duplicate genomes, well inside the
         // splice path's sweet spot.
         DeltaSession session;
-        DeltaSession *ds = options.deltaEval ? &session : nullptr;
 
         // Genome: hardware index + one candidate index per class.
         struct Individual
@@ -501,7 +498,7 @@ class GeneticSearch : public SearchStrategy
             trimToBudget(sweep, budget, out.stats);
             size_t swept = sweep.size();
             size_t first = out.evaluated.size();
-            evaluateInto(space, engine, std::move(sweep), out, ds);
+            evaluateInto(space, engine, std::move(sweep), out, &session);
             double bestFit = -1.0;
             for (size_t i = first; i < first + swept; ++i) {
                 double fit = fitnessOf(out.evaluated[i].report);
@@ -544,7 +541,7 @@ class GeneticSearch : public SearchStrategy
             for (const Individual &ind : fresh)
                 points.emplace_back(ind.hw, toPlan(ind));
             size_t first = out.evaluated.size();
-            evaluateInto(space, engine, std::move(points), out, ds);
+            evaluateInto(space, engine, std::move(points), out, &session);
             for (size_t i = 0; i < fresh.size(); ++i) {
                 fresh[i].fitness =
                     fitnessOf(out.evaluated[first + i].report);

@@ -62,19 +62,6 @@ struct SearchOptions
      */
     long maxEvaluations = 0;
 
-    /**
-     * Evaluate the guided searches (coordinate descent, annealing,
-     * genetic) through a per-run DeltaSession: their mutate-and-retry
-     * loops re-evaluate plans one by one, and the session keeps one
-     * context and one set of splice / schedule buffers per
-     * (model, desc, task) alive across the run instead of allocating
-     * them per evaluation (bit-identical reports — the outcome does
-     * not change, only its cost; EvalStats::deltaEvals records how
-     * often the buffers were reused). Exhaustive ignores this: its
-     * one wide batch belongs on the engine pool.
-     */
-    bool deltaEval = true;
-
     /** @name Simulated annealing */
     /// @{
     /** Initial temperature as a fraction of current throughput. */

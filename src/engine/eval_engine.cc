@@ -241,12 +241,6 @@ DeltaSession::DeltaSession() : impl_(std::make_unique<Impl>()) {}
 
 DeltaSession::~DeltaSession() = default;
 
-size_t
-DeltaSession::slots() const
-{
-    return impl_->slots.size();
-}
-
 EvalEngine::EvalEngine(EvalEngineOptions options)
     : options_(options)
 {
@@ -339,18 +333,6 @@ EvalEngine::cacheSize() const
 {
     std::lock_guard<std::mutex> lock(cacheMutex_);
     return cache_.size();
-}
-
-void
-EvalEngine::clearCache()
-{
-    std::lock_guard<std::mutex> lock(cacheMutex_);
-    // Count cleared entries as evictions so the documented
-    // EngineCounters invariant (entries == insertions - evictions)
-    // survives an explicit clear.
-    evictions_ += static_cast<long>(cache_.size());
-    cache_.clear();
-    lru_.clear();
 }
 
 EngineCounters

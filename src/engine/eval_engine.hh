@@ -135,9 +135,6 @@ class DeltaSession
     DeltaSession(const DeltaSession &) = delete;
     DeltaSession &operator=(const DeltaSession &) = delete;
 
-    /** Distinct (model, desc, task) triples bound so far. */
-    size_t slots() const;
-
   private:
     friend class EvalEngine;
     struct Impl;
@@ -160,9 +157,7 @@ struct EngineCounters
     long cacheInsertions = 0;
     long cacheEvictions = 0;
 
-    /// Batch-submission shape: how work arrives, not how much. The
-    /// serving layer's micro-batching dispatcher shows up here as
-    /// fewer, larger batches for the same request count.
+    /// Batch-submission shape: how work arrives, not how much.
     long batches = 0;          ///< evaluateAll calls.
     long batchRequests = 0;    ///< Points submitted across all batches.
     long maxBatchRequests = 0; ///< Largest single batch.
@@ -287,7 +282,6 @@ class EvalEngine
     bool isCached(const std::string &key) const;
 
     size_t cacheSize() const;
-    void clearCache();
 
     /** Snapshot of the lifetime stats and cache counters (thread-safe;
      *  the serving layer polls this for `GET /v1/stats`). */
@@ -314,8 +308,7 @@ class EvalEngine
 
     /// Lifetime accounting (guarded by cacheMutex_): every
     /// evaluateAll's EvalStats folded together, plus total cache
-    /// insert/evict traffic. clearCache resets neither — they count
-    /// work done, not work retained.
+    /// insert/evict traffic.
     EvalStats lifetime_;
     long insertions_ = 0;
     long evictions_ = 0;

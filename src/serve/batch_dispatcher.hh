@@ -1,40 +1,30 @@
 /**
  * @file
- * Cross-request micro-batching for the serving hot path.
+ * The cold-evaluation path of /v1/evaluate, and response-level
+ * deduplication for /v1/pareto.
  *
- * BatchDispatcher coalesces concurrent /v1/evaluate requests into
- * single EvalEngine::evaluateAll batches using a leader/follower
- * scheme: the first request to arrive becomes the window leader,
- * waits up to the batch window for company, then submits everything
- * queued as ONE batch on its own thread; followers block until the
- * leader distributes their results. Requests arriving while a batch
- * is evaluating accumulate for the next window (continuous batching —
- * under sustained load the effective window is the evaluation time
- * and the configured window only bounds the idle case). The payoff
- * rides the engine's batch grouping: requests whose configs resolved
- * to the same shared ParsedTriple (serve/config_cache.hh) have
- * pointer-identical (model, desc, task) and therefore share one warm
- * EvalContext within the batch — many tenants, one validation +
- * per-layer timing pass — and in-batch duplicate points collapse to
- * a single evaluation.
- *
- * Requests already memoized in the engine bypass the window entirely
- * (EvalEngine::tryCached), so the batch window adds zero latency to
- * the cached hot path.
+ * BatchDispatcher evaluates one resolved request on the calling HTTP
+ * worker. A request already memoized in the engine returns from
+ * EvalEngine::tryCached; any other request makes one
+ * EvalEngine::evaluateAll call holding just its own point. No request
+ * ever waits on another's evaluation, so a slow evaluation delays
+ * only its own response, and cold requests run as parallel as the
+ * HTTP worker pool. The class keeps its name and its four-field
+ * stats for readers of the former micro-batching counters: each
+ * engine call is one "window" of one request, and nothing coalesces.
  *
  * SingleFlight deduplicates concurrent *identical* requests at the
- * response level — used by /v1/pareto, where a whole search is too
- * coarse to batch but popular identical queries (same body bytes)
- * would otherwise each run the full frontier sweep.
+ * response level — used by /v1/pareto, where popular identical
+ * queries (same body bytes) would otherwise each run the full
+ * frontier sweep.
  */
 
 #ifndef MADMAX_SERVE_BATCH_DISPATCHER_HH
 #define MADMAX_SERVE_BATCH_DISPATCHER_HH
 
-#include <chrono>
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <exception>
 #include <memory>
 #include <mutex>
@@ -52,104 +42,40 @@ namespace madmax
 
 class EvalEngine;
 
-struct BatchDispatcherOptions
-{
-    /** How long a window leader waits for company, microseconds.
-     *  0 = submit immediately (coalescing then happens only via
-     *  accumulation behind an in-flight batch). */
-    long windowMicros = 100;
-
-    /** Window occupancy that cuts the wait short and submits. */
-    size_t maxBatch = 64;
-
-    /**
-     * Wedged-leader watchdog, microseconds; 0 disables. When the
-     * current leader has been busy longer than this and requests are
-     * queued behind it, a waiting request takes over as a rescue
-     * leader and submits the queued work as its own batch — a wedged
-     * evaluation stalls only the requests already inside its batch,
-     * never the ones behind it. Successive takeovers are throttled to
-     * one per watchdog period.
-     */
-    long watchdogMicros = 0;
-};
-
 struct BatchDispatcherStats
 {
-    long windows = 0;   ///< Batches submitted to the engine.
-    long requests = 0;  ///< Requests that entered a window (memo
-                        ///< misses; hits bypass).
-    long coalesced = 0; ///< Requests that shared a window with >= 1
-                        ///< other request.
-    long maxOccupancy = 0;  ///< Largest window submitted.
-    long memoFastPath = 0;  ///< Requests answered from the engine memo
-                            ///< cache without entering a window.
-    long watchdogTakeovers = 0; ///< Rescue leaders spawned past a
-                                ///< wedged one.
-    long deadlineTimeouts = 0;  ///< Requests abandoned at their
-                                ///< deadline (DeadlineError thrown).
+    long windows = 0;   ///< Engine evaluateAll calls (== requests).
+    long requests = 0;  ///< Requests that missed the memo and were
+                        ///< evaluated.
+    long coalesced = 0; ///< Always 0: requests never share a call.
+    long memoFastPath = 0; ///< Requests answered from the engine memo
+                           ///< cache.
 };
 
 class BatchDispatcher
 {
   public:
-    BatchDispatcher(EvalEngine &engine,
-                    BatchDispatcherOptions options = {});
+    explicit BatchDispatcher(EvalEngine &engine) : engine_(engine) {}
 
     BatchDispatcher(const BatchDispatcher &) = delete;
     BatchDispatcher &operator=(const BatchDispatcher &) = delete;
 
     /**
-     * Evaluate one resolved request, riding whatever batch forms.
-     * Blocking; safe from any number of threads.
+     * Evaluate one resolved request on the calling thread. Safe from
+     * any number of threads.
      *
      * Per-request engine failures come back as failure reports
      * (PerfReport::failed() — see EvalEngine exception isolation);
-     * only a catastrophic evaluateAll throw is rethrown to every
-     * request of the affected batch.
-     *
-     * @p deadlineMicros > 0 bounds the wait: past it the request is
-     * abandoned (removed from the queue if still there; its batch
-     * slot outlives it via shared ownership if not) and DeadlineError
-     * is thrown with the partial-work stage. A request that has
-     * already become the window leader runs its batch to completion —
-     * the deadline gates waiting, not evaluating.
+     * only a catastrophic evaluateAll throw propagates.
      */
-    PerfReport evaluate(const CachedRequest &request,
-                        long deadlineMicros = 0);
+    PerfReport evaluate(const CachedRequest &request);
 
     BatchDispatcherStats stats() const;
 
   private:
-    using Clock = std::chrono::steady_clock;
-
-    /** One waiting request. Shared ownership: a deadline-abandoned
-     *  request's slot must stay writable for the leader that took it
-     *  into a batch after the submitter has thrown out. */
-    struct Pending
-    {
-        const CachedRequest *request = nullptr;
-        PerfReport report;
-        std::exception_ptr error;
-        bool done = false;
-    };
-
-    /** Take the current queue as one batch, evaluate it with the lock
-     *  dropped, distribute results, notify. Lock held on entry and
-     *  exit. Used by both the window leader and watchdog rescuers
-     *  (which is why it does not touch leaderBusy_). */
-    void runBatch(std::unique_lock<std::mutex> &lock);
-
     EvalEngine &engine_;
-    BatchDispatcherOptions options_;
-
-    mutable std::mutex mutex_;
-    std::condition_variable cv_;
-    std::deque<std::shared_ptr<Pending>> queue_;
-    bool leaderBusy_ = false; ///< A window is open or evaluating.
-    Clock::time_point leaderSince_{}; ///< When leaderBusy_ last rose
-                                      ///< (or a rescuer took over).
-    BatchDispatcherStats stats_;
+    std::atomic<long> requests_{0};
+    std::atomic<long> memoFastPath_{0};
 };
 
 /**

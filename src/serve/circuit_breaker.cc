@@ -63,7 +63,7 @@ CircuitBreaker::admit(uint64_t key, long *retryAfterSeconds)
                 std::chrono::milliseconds(options_.openMillis)) {
             // One probe at a time: everyone else keeps fast-failing
             // until the probe's verdict is in. A probe that never
-            // reports (e.g. its deadline expired) forfeits its slot
+            // reports (e.g. its evaluation wedged) forfeits its slot
             // after one cool-down period, so a lost probe cannot
             // wedge the key open forever.
             ++stats_.rejects;

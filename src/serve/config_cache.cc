@@ -69,8 +69,7 @@ ConfigCache::lookup(const std::string &body)
     auto *cached = triples_.get(tripleFp);
     if (cached && (*cached)->canon == triple->canon) {
         // Another body already parsed this triple; adopt the cached
-        // instance so pointer identity (batch grouping, shared
-        // EvalContext) holds across bodies, and drop ours.
+        // instance and drop ours.
         triple = *cached;
         ++tripleShares_;
     } else {

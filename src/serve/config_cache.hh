@@ -16,10 +16,7 @@
  *     construction, and engine-key construction.
  *  2. triple cache: canonical (model, system, task-spec) text ->
  *     shared ParsedTriple. Bodies that differ only in whitespace or
- *     plan still share one ParsedTriple — and because EvalEngine
- *     batch-groups by pointer identity, every request referencing a
- *     shared triple lands in the same EvalContext group of a
- *     coalesced batch (see serve/batch_dispatcher.hh).
+ *     plan still share one ParsedTriple: one parse, one copy held.
  *
  * Thread-safe. Entries are shared_ptr, so eviction never invalidates
  * a request mid-flight.

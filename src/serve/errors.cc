@@ -26,7 +26,6 @@ serveErrorSpec(ServeError kind)
         /* ResourceExhausted */ {503, "resource_exhausted"},
         /* FdExhausted       */ {503, "fd_exhausted"},
         /* CircuitOpen       */ {503, "circuit_open"},
-        /* DeadlineExceeded  */ {504, "deadline_exceeded"},
     };
     return kSpecs[static_cast<size_t>(kind)];
 }
@@ -39,33 +38,10 @@ makeError(ServeError kind, const std::string &message)
 }
 
 HttpResponse
-makeError(ServeError kind, const std::string &message, JsonValue detail)
-{
-    const ServeErrorSpec &spec = serveErrorSpec(kind);
-    JsonValue err;
-    err.set("code", spec.code);
-    if (!detail.isNull())
-        err.set("detail", std::move(detail));
-    err.set("message", message);
-    JsonValue doc;
-    doc.set("error", std::move(err));
-    HttpResponse resp;
-    resp.status = spec.status;
-    resp.body = doc.dump(2) + "\n";
-    return resp;
-}
-
-HttpResponse
 errorFromCurrentException()
 {
     try {
         throw;
-    } catch (const DeadlineError &e) {
-        JsonValue detail;
-        detail.set("stage", e.stage);
-        detail.set("waited_ms", e.waitedMillis);
-        return makeError(ServeError::DeadlineExceeded, e.what(),
-                         std::move(detail));
     } catch (const CircuitOpenError &e) {
         HttpResponse resp = makeError(ServeError::CircuitOpen, e.what());
         resp.headers["Retry-After"] =
@@ -81,14 +57,6 @@ errorFromCurrentException()
     } catch (...) {
         return makeError(ServeError::Internal, "unknown error");
     }
-}
-
-DeadlineError::DeadlineError(long waitedMillis_, std::string stage_)
-    : std::runtime_error("request deadline exceeded after " +
-                         std::to_string(waitedMillis_) + " ms (" +
-                         stage_ + ")"),
-      waitedMillis(waitedMillis_), stage(std::move(stage_))
-{
 }
 
 CircuitOpenError::CircuitOpenError(long retryAfterSeconds_)

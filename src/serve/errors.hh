@@ -12,17 +12,12 @@
  *
  * Wire shape (see errorResponse in http_server.hh):
  *
- *   {"error": {"code": "<machine>", "detail": {...}?, "message": "<human>"}}
- *
- * The optional `detail` object carries partial-work accounting (e.g. a
- * 504's waited_ms + stage) and is omitted entirely when empty, keeping
- * the historical two-field bodies byte-identical.
+ *   {"error": {"code": "<machine>", "message": "<human>"}}
  */
 
 #include <stdexcept>
 #include <string>
 
-#include "config/json.hh"
 #include "serve/http_server.hh"
 
 namespace madmax
@@ -44,7 +39,6 @@ enum class ServeError
     ResourceExhausted, ///< 503 resource_exhausted — allocation failed.
     FdExhausted,       ///< 503 fd_exhausted — accept hit EMFILE/ENFILE.
     CircuitOpen,       ///< 503 circuit_open — breaker fast-fail.
-    DeadlineExceeded,  ///< 504 deadline_exceeded — request deadline.
 };
 
 /** Status + wire code for one taxonomy entry. */
@@ -60,11 +54,6 @@ const ServeErrorSpec &serveErrorSpec(ServeError kind);
 /** Render a taxonomy error with the uniform JSON error shape. */
 HttpResponse makeError(ServeError kind, const std::string &message);
 
-/** As above with a `detail` object (partial-work accounting). A null
- *  detail is omitted from the body. */
-HttpResponse makeError(ServeError kind, const std::string &message,
-                       JsonValue detail);
-
 /**
  * Map the in-flight exception (rethrown inside a catch block) to its
  * taxonomy response. This is the one place exception types turn into
@@ -72,18 +61,6 @@ HttpResponse makeError(ServeError kind, const std::string &message,
  * route through it.
  */
 HttpResponse errorFromCurrentException();
-
-/** Thrown by BatchDispatcher when a request's deadline expires while
- *  it is queued or mid-batch; maps to 504 deadline_exceeded with
- *  {stage, waited_ms} partial-work detail. */
-class DeadlineError : public std::runtime_error
-{
-  public:
-    DeadlineError(long waitedMillis, std::string stage);
-
-    long waitedMillis;
-    std::string stage; ///< "queued" or "evaluating".
-};
 
 /** Thrown by EvalService when the circuit breaker rejects a config
  *  fingerprint; maps to 503 circuit_open + Retry-After. */

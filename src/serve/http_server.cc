@@ -540,7 +540,7 @@ HttpServer::workerLoop()
         } catch (...) {
             // One mapping for every exception class the handler can
             // leak (serve/errors.hh) — ConfigError -> 400, bad_alloc
-            // -> 503 resource_exhausted, DeadlineError -> 504, ...
+            // -> 503 resource_exhausted, anything else -> 500.
             resp = errorFromCurrentException();
         }
         {

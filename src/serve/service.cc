@@ -1,5 +1,7 @@
 #include "serve/service.hh"
 
+#include <cmath>
+
 #include "config/config_loader.hh"
 #include "core/strategy_explorer.hh"
 #include "dse/pareto_engine.hh"
@@ -28,6 +30,22 @@ parseTripleBody(const HttpRequest &request)
             fatal(std::string("request body missing \"") + key +
                   "\" member");
     return body;
+}
+
+/** An optional integer member: @p fallback when absent, else a whole
+ *  number in [lo, hi] (@p range spells the bounds for the message).
+ *  The !(in-range) form also rejects NaN, and the result always fits
+ *  the caller's cast: an unchecked cast of an out-of-range double is
+ *  undefined behavior. @throws ConfigError (-> 400). */
+double
+integerOr(const JsonValue &body, const char *key, double fallback,
+          double lo, double hi, const char *range)
+{
+    double v = body.numberOr(key, fallback);
+    if (!(v >= lo && v <= hi) || v != std::trunc(v))
+        fatal(std::string("\"") + key + "\" must be an integer in " +
+              range);
+    return v;
 }
 
 HttpResponse
@@ -69,23 +87,14 @@ promSample(std::string &out, const std::string &name,
 } // namespace
 
 EvalService::EvalService(ServiceOptions options)
-    : options_(options),
-      engine_([&options] {
+    : engine_([&options] {
           EvalEngineOptions eo;
           eo.jobs = options.jobs;
           eo.cacheCapacity = options.cacheCapacity;
           return eo;
       }()),
       configCache_(options.configCacheCapacity),
-      dispatcher_(engine_,
-                  [&options] {
-                      BatchDispatcherOptions bo;
-                      bo.windowMicros = options.batchWindowMicros;
-                      bo.maxBatch = options.batchMax;
-                      bo.watchdogMicros =
-                          options.batchWatchdogMillis * 1000;
-                      return bo;
-                  }()),
+      dispatcher_(engine_),
       breaker_([&options] {
           CircuitBreakerOptions co;
           co.failureThreshold = options.breakerFailureThreshold;
@@ -141,9 +150,8 @@ EvalService::handle(const HttpRequest &request)
         resp = router_.route(request);
     } catch (...) {
         // One mapping for every exception type the stack can throw
-        // (serve/errors.hh): ConfigError -> 400, DeadlineError -> 504,
-        // CircuitOpenError -> 503 + Retry-After, bad_alloc -> 503,
-        // anything else -> 500.
+        // (serve/errors.hh): ConfigError -> 400, CircuitOpenError ->
+        // 503 + Retry-After, bad_alloc -> 503, anything else -> 500.
         resp = errorFromCurrentException();
     }
     if (resp.status >= 400)
@@ -175,8 +183,8 @@ EvalService::handleEvaluate(const HttpRequest &request)
 {
     ++evaluateCount_;
     // Parse (or reuse the parsed form of) the config triple, then
-    // ride whatever evaluation batch forms. Engine memo hits return
-    // straight from the dispatcher's fast path.
+    // evaluate it on this worker. Engine memo hits return straight
+    // from the dispatcher's fast path.
     CachedRequest parsed = configCache_.lookup(request.body);
 
     // The breaker key is the canonical triple — the same identity the
@@ -189,14 +197,7 @@ EvalService::handleEvaluate(const HttpRequest &request)
 
     PerfReport report;
     try {
-        report = dispatcher_.evaluate(
-            parsed, options_.requestTimeoutMillis * 1000);
-    } catch (const DeadlineError &) {
-        // A deadline says nothing about the config's health — the
-        // breaker records neither success nor failure. A half-open
-        // probe that deadlines forfeits its slot via the breaker's
-        // probe timeout.
-        throw;
+        report = dispatcher_.evaluate(parsed);
     } catch (...) {
         breaker_.recordFailure(breakerKey);
         throw;
@@ -230,12 +231,8 @@ EvalService::handleExplore(const HttpRequest &request)
     ClusterSpec cluster = loadCluster(body.at("system"));
     TaskConfig task = loadTask(body.at("task"));
 
-    // The !(in-range) form also rejects NaN; an unchecked cast of an
-    // out-of-range double to size_t is undefined behavior.
-    double topRaw = body.numberOr("top", 5);
-    if (!(topRaw >= 0 && topRaw <= static_cast<double>(1L << 30)))
-        fatal("\"top\" must be in [0, 2^30]");
-    size_t top = static_cast<size_t>(topRaw);
+    size_t top = static_cast<size_t>(
+        integerOr(body, "top", 5, 0, 0x1p30, "[0, 2^30]"));
 
     PerfModel perf(cluster);
     StrategyExplorer explorer(perf, &engine_);
@@ -263,9 +260,8 @@ HttpResponse
 EvalService::handlePareto(const HttpRequest &request)
 {
     ++paretoCount_;
-    // A pareto search is too coarse to micro-batch, but concurrent
-    // byte-identical queries (a popular dashboard, a retry storm)
-    // collapse to one search sharing its response.
+    // Concurrent byte-identical queries (a popular dashboard, a
+    // retry storm) collapse to one search sharing its response.
     bool shared = false;
     HttpResponse resp = paretoFlight_.run(
         request.body, [&] { return runPareto(request); }, &shared);
@@ -350,23 +346,18 @@ EvalService::runPareto(const HttpRequest &request)
         if (catalog != "cloud")
             fatal("unknown catalog '" + catalog +
                   "' (supported: cloud)");
-        double nodes = body.numberOr("nodes", 16);
-        if (!(nodes >= 1 && nodes <= 4096))
-            fatal("\"nodes\" must be in [1, 4096]");
-        hw = cloudHardwareCatalog(static_cast<int>(nodes));
+        hw = cloudHardwareCatalog(static_cast<int>(
+            integerOr(body, "nodes", 16, 1, 4096, "[1, 4096]")));
     }
 
     ParetoOptions opts;
     opts.strategy = body.stringOr("strategy", "exhaustive");
-    double budget = body.numberOr("budget", 0);
-    if (!(budget >= 0 && budget <= static_cast<double>(1L << 30)))
-        fatal("\"budget\" must be in [0, 2^30]");
-    opts.search.maxEvaluations = static_cast<long>(budget);
-    double seed = body.numberOr(
-        "seed", static_cast<double>(SearchOptions{}.seed));
-    if (!(seed >= 0 && seed <= 0x1p63))
-        fatal("\"seed\" must be a non-negative integer");
-    opts.search.seed = static_cast<uint64_t>(seed);
+    opts.search.maxEvaluations = static_cast<long>(
+        integerOr(body, "budget", 0, 0, 0x1p30, "[0, 2^30]"));
+    opts.search.seed = static_cast<uint64_t>(
+        integerOr(body, "seed",
+                  static_cast<double>(SearchOptions{}.seed), 0, 0x1p63,
+                  "[0, 2^63]"));
     opts.includeBaselines = body.boolOr("include_baselines", true);
 
     ParetoEngine pareto(std::move(hw), &engine_);
@@ -426,11 +417,7 @@ EvalService::handleStats(const HttpRequest &request)
     JsonValue batching;
     batching.set("windows", b.windows);
     batching.set("batched_requests", b.requests);
-    batching.set("coalesced_requests", b.coalesced);
-    batching.set("max_occupancy", b.maxOccupancy);
     batching.set("memo_fast_path", b.memoFastPath);
-    batching.set("watchdog_takeovers", b.watchdogTakeovers);
-    batching.set("deadline_timeouts", b.deadlineTimeouts);
 
     ConfigCache::Stats cc = configCache_.stats();
     JsonValue configCache;
@@ -632,38 +619,20 @@ EvalService::handleMetrics(const HttpRequest &request)
                static_cast<double>(c.batchRequests));
 
     promHeader(out, "madmax_batch_windows_total",
-               "Micro-batch windows dispatched.", "counter");
+               "Engine calls made for memo-missing evaluate requests.",
+               "counter");
     promSample(out, "madmax_batch_windows_total", "",
                static_cast<double>(b.windows));
     promHeader(out, "madmax_batch_requests_total",
-               "Requests that entered a micro-batch window.",
+               "Evaluate requests that missed the memo cache.",
                "counter");
     promSample(out, "madmax_batch_requests_total", "",
                static_cast<double>(b.requests));
-    promHeader(out, "madmax_batch_coalesced_requests_total",
-               "Windowed requests that shared their window.",
-               "counter");
-    promSample(out, "madmax_batch_coalesced_requests_total", "",
-               static_cast<double>(b.coalesced));
-    promHeader(out, "madmax_batch_max_occupancy",
-               "Largest window submitted.", "gauge");
-    promSample(out, "madmax_batch_max_occupancy", "",
-               static_cast<double>(b.maxOccupancy));
     promHeader(out, "madmax_batch_memo_fast_path_total",
-               "Evaluate requests answered from the memo cache "
-               "without a window.",
+               "Evaluate requests answered from the memo cache.",
                "counter");
     promSample(out, "madmax_batch_memo_fast_path_total", "",
                static_cast<double>(b.memoFastPath));
-    promHeader(out, "madmax_batch_watchdog_takeovers_total",
-               "Rescue leaders spawned past a wedged batch leader.",
-               "counter");
-    promSample(out, "madmax_batch_watchdog_takeovers_total", "",
-               static_cast<double>(b.watchdogTakeovers));
-    promHeader(out, "madmax_batch_deadline_timeouts_total",
-               "Requests abandoned at their deadline.", "counter");
-    promSample(out, "madmax_batch_deadline_timeouts_total", "",
-               static_cast<double>(b.deadlineTimeouts));
 
     promHeader(out, "madmax_config_cache_hits_total",
                "Request bodies whose parse was reused.", "counter");

@@ -14,15 +14,13 @@
  *  - a fingerprint-keyed parsed-config cache (serve/config_cache.hh):
  *    repeat bodies skip JSON parsing and config validation entirely,
  *    and bodies differing only in whitespace or plan share one
- *    ParsedTriple, whose pointer identity drives engine batch
- *    grouping;
- *  - a micro-batching dispatcher (serve/batch_dispatcher.hh):
- *    concurrent cold evaluations coalesce into single
- *    EvalEngine::evaluateAll batches, so requests sharing a triple
- *    share one warm EvalContext per batch window. Engine memo hits
- *    bypass the window (zero added latency on the cached path), and
- *    concurrent byte-identical /v1/pareto requests collapse to one
- *    search via single-flight deduplication.
+ *    ParsedTriple, whose pointer identity is the engine's context
+ *    and memo-key identity;
+ *  - the cold-evaluation path (serve/batch_dispatcher.hh): an engine
+ *    memo hit answers at once; any other evaluation runs on the HTTP
+ *    worker that received it, so a slow evaluation delays only its
+ *    own request. Concurrent byte-identical /v1/pareto requests
+ *    collapse to one search via single-flight deduplication.
  *
  * Endpoints (full reference with examples: docs/serving.md):
  *
@@ -43,8 +41,9 @@
  *                      (hardware x plan) space (docs/dse.md).
  *   GET  /v1/health    liveness: status, uptime, engine parallelism.
  *   GET  /v1/stats     engine lifetime counters + memo-cache
- *                      occupancy + batching/config-cache/transport
- *                      counters + per-endpoint request counts.
+ *                      occupancy + evaluate-path/config-cache/
+ *                      transport counters + per-endpoint request
+ *                      counts.
  *   GET  /v1/metrics   the same counters in Prometheus text
  *                      exposition format (text/plain; version=0.0.4).
  *
@@ -52,9 +51,8 @@
  * with the machine-readable codes of serve/errors.hh: 400 for
  * malformed JSON / missing fields / bad configs, 404/405 from the
  * router, 500 for internal failures, plus the graceful-degradation
- * responses (503 circuit_open / resource_exhausted / fd_exhausted,
- * 504 deadline_exceeded) — full table in docs/serving.md, semantics
- * in docs/resilience.md.
+ * responses (503 circuit_open / resource_exhausted / fd_exhausted)
+ * — full table in docs/serving.md, semantics in docs/resilience.md.
  */
 
 #ifndef MADMAX_SERVE_SERVICE_HH
@@ -83,21 +81,8 @@ struct ServiceOptions
     /** Memo-cache entry cap, forwarded to EvalEngineOptions. */
     size_t cacheCapacity = size_t{1} << 13;
 
-    /** Micro-batching window for cold evaluations, microseconds
-     *  (BatchDispatcherOptions::windowMicros); 0 disables waiting. */
-    long batchWindowMicros = 100;
-
-    /** Batch occupancy that submits a window early. */
-    size_t batchMax = 64;
-
     /** Parsed-config cache entry cap (serve/config_cache.hh). */
     size_t configCacheCapacity = 1024;
-
-    /** Per-request evaluation deadline, milliseconds; 0 disables.
-     *  Past it the request is abandoned (BatchDispatcher::evaluate)
-     *  and answered 504 deadline_exceeded with {stage, waited_ms}
-     *  partial-work detail. */
-    long requestTimeoutMillis = 0;
 
     /** Circuit breaker: consecutive eval failures per config
      *  fingerprint that trip it (serve/circuit_breaker.hh). */
@@ -105,11 +90,6 @@ struct ServiceOptions
 
     /** Circuit breaker cool-down before the half-open probe. */
     long breakerOpenMillis = 1000;
-
-    /** Wedged-leader watchdog for the micro-batching dispatcher,
-     *  milliseconds; 0 disables
-     *  (BatchDispatcherOptions::watchdogMicros). */
-    long batchWatchdogMillis = 2000;
 };
 
 /** Per-endpoint request accounting, reported by `GET /v1/stats`. */
@@ -160,7 +140,7 @@ class EvalService
     /** The shared process-lifetime engine (tests inspect its cache). */
     EvalEngine &engine() { return engine_; }
 
-    /** The serving-side coalescing layers (tests inspect counters). */
+    /** The serving-side layers (tests inspect counters). */
     const BatchDispatcher &dispatcher() const { return dispatcher_; }
     const ConfigCache &configCache() const { return configCache_; }
     const CircuitBreaker &breaker() const { return breaker_; }
@@ -195,7 +175,6 @@ class EvalService
      *  null for unrouted targets. */
     std::atomic<long> *latencySlot(const std::string &target);
 
-    ServiceOptions options_;
     EvalEngine engine_;
     ConfigCache configCache_;
     BatchDispatcher dispatcher_;

@@ -156,25 +156,36 @@ TEST(EvalContext, PlannedOpsAreStableAndSharedAcrossCalls)
     TaskSpec task = TaskSpec::preTraining();
     EvalContext context(perf, desc, task);
 
-    HierStrategy fsdp{Strategy::FSDP};
-    const std::vector<ResolvedCommOp> &first =
-        context.plannedOps(0, fsdp);
-    const std::vector<ResolvedCommOp> &second =
-        context.plannedOps(0, fsdp);
-    EXPECT_EQ(&first, &second)
-        << "per-strategy tables must be built once and shared";
-
-    // FSDP on a trainable layer gathers forward + backward and
-    // reduce-scatters gradients.
-    ASSERT_FALSE(first.empty());
-    for (const ResolvedCommOp &op : first)
-        EXPECT_GT(op.duration, 0.0);
-
+    // FSDP on trainable layers gathers forward + backward and
+    // reduce-scatters gradients: the first evaluation resolves and
+    // memoizes those collectives.
+    const ParallelPlan fsdp = ParallelPlan::fsdpBaseline();
+    PerfReport first = context.evaluate(fsdp);
+    EXPECT_GT(first.commTime, 0.0);
     size_t memoized = context.collectiveTableSize();
     EXPECT_GT(memoized, 0u);
-    context.plannedOps(1, fsdp);
+
+    // The per-strategy tables are built once and shared: a repeat
+    // evaluation resolves nothing new and reproduces the report.
+    PerfReport second = context.evaluate(fsdp);
     EXPECT_EQ(context.collectiveTableSize(), memoized)
-        << "repeat lookups must not grow the memo table";
+        << "repeat evaluations must not grow the memo table";
+    expectBitIdentical(first, second);
+
+    // Plans that differ only where no new strategy table is needed —
+    // the prefetch variant, and a strategy for a class GPT-3 lacks —
+    // reuse the same resolved collectives.
+    ParallelPlan noPrefetch = fsdp;
+    noPrefetch.fsdpPrefetch = !fsdp.fsdpPrefetch;
+    ParallelPlan absentClass = fsdp;
+    ASSERT_FALSE(desc.graph.hasClass(LayerClass::MoE));
+    absentClass.set(LayerClass::MoE, HierStrategy{Strategy::DDP});
+    for (const ParallelPlan &plan : {noPrefetch, absentClass}) {
+        PerfReport shared = context.evaluate(plan);
+        EXPECT_EQ(context.collectiveTableSize(), memoized)
+            << "shared-strategy plans must not grow the memo table";
+        expectBitIdentical(shared, perf.evaluate(desc, task, plan));
+    }
 }
 
 TEST(EvalContext, KeepTimelineControlsNameMaterialization)

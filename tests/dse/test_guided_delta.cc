@@ -1,10 +1,12 @@
 /**
  * @file
  * Delta re-evaluation in the guided searches must be invisible in
- * every output and visible only in cost accounting: for equal seeds
- * and budgets, annealing / genetic / coordinate-descent produce
- * byte-identical visit sequences, frontiers, and bestPerHw with
- * SearchOptions::deltaEval on and off, and EvalStats always satisfies
+ * every output and visible only in cost accounting: every point that
+ * annealing / genetic / coordinate-descent visit through their
+ * per-run DeltaSession, and every frontier, bestPerHw and candidate
+ * report, is byte-identical to a session-less replay of the same
+ * point through a fresh engine; the replay's hit/prune/evaluation
+ * split matches the search's; and EvalStats always satisfies
  * deltaEvals + fullEvals == evaluations.
  */
 
@@ -12,10 +14,12 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dse/pareto_engine.hh"
 #include "dse/search_strategy.hh"
+#include "engine/eval_engine.hh"
 #include "hw/hw_zoo.hh"
 #include "model/model_zoo.hh"
 
@@ -90,6 +94,42 @@ paretoTrace(const std::vector<ParetoCandidate> &candidates)
     return trace;
 }
 
+/**
+ * The session-less reference: re-evaluate @p visits (hardware index,
+ * plan) in visit order as one evaluateAll batch through a fresh
+ * engine with no DeltaSession, fingerprinted like the traces above.
+ * Revisits collapse onto their first evaluation, exactly as they hit
+ * the search engine's memo, so @p stats mirrors the search's split.
+ */
+std::vector<std::string>
+replayTrace(const std::vector<const PerfModel *> &models,
+            const ModelDesc &desc, const TaskSpec &task,
+            const std::vector<std::pair<size_t, ParallelPlan>> &visits,
+            EvalStats *stats = nullptr)
+{
+    std::vector<PlanRequest> points;
+    for (const auto &[hwIndex, plan] : visits)
+        points.push_back(PlanRequest{models.at(hwIndex), &desc, &task,
+                                     plan});
+    EvalEngine fresh;
+    std::vector<PerfReport> reports = fresh.evaluateAll(points, stats);
+    std::vector<std::string> trace;
+    for (size_t i = 0; i < visits.size(); ++i)
+        trace.push_back(
+            candidateKey(visits[i].first, visits[i].second, reports[i]));
+    return trace;
+}
+
+template <typename Candidate>
+std::vector<std::pair<size_t, ParallelPlan>>
+visitsOf(const std::vector<Candidate> &candidates)
+{
+    std::vector<std::pair<size_t, ParallelPlan>> visits;
+    for (const Candidate &c : candidates)
+        visits.emplace_back(c.hwIndex, c.plan);
+    return visits;
+}
+
 void
 expectDeltaSplitInvariant(const EvalStats &stats, bool deltaOn)
 {
@@ -111,25 +151,22 @@ TEST(GuidedDelta, SearchOutcomesIdenticalWithDeltaOnAndOff)
         std::unique_ptr<SearchStrategy> strategy =
             makeSearchStrategy(name);
 
-        SearchOptions on;
-        on.maxEvaluations = 60;
-        on.deltaEval = true;
-        SearchOptions off = on;
-        off.deltaEval = false;
+        SearchOptions options;
+        options.maxEvaluations = 60;
 
-        EvalEngine engineOn;
-        EvalEngine engineOff;
-        const SearchOutcome a =
-            strategy->run(cfg.space, engineOn, on);
-        const SearchOutcome b =
-            strategy->run(cfg.space, engineOff, off);
+        EvalEngine engine;
+        const SearchOutcome a = strategy->run(cfg.space, engine, options);
 
-        EXPECT_EQ(outcomeTrace(a), outcomeTrace(b)) << name;
-        EXPECT_EQ(a.stats.evaluations, b.stats.evaluations) << name;
-        EXPECT_EQ(a.stats.cacheHits, b.stats.cacheHits) << name;
-        EXPECT_EQ(a.stats.pruned, b.stats.pruned) << name;
+        EvalStats replay;
+        EXPECT_EQ(outcomeTrace(a),
+                  replayTrace(cfg.space.models, cfg.desc, cfg.task,
+                              visitsOf(a.evaluated), &replay))
+            << name;
+        EXPECT_EQ(a.stats.evaluations, replay.evaluations) << name;
+        EXPECT_EQ(a.stats.cacheHits, replay.cacheHits) << name;
+        EXPECT_EQ(a.stats.pruned, replay.pruned) << name;
         expectDeltaSplitInvariant(a.stats, /*deltaOn=*/true);
-        expectDeltaSplitInvariant(b.stats, /*deltaOn=*/false);
+        expectDeltaSplitInvariant(replay, /*deltaOn=*/false);
     }
 }
 
@@ -138,10 +175,8 @@ TEST(GuidedDelta, ExhaustiveIgnoresDeltaSessions)
     DeltaFixture cfg;
     std::unique_ptr<SearchStrategy> strategy =
         makeSearchStrategy("exhaustive");
-    SearchOptions on;
-    on.deltaEval = true;
     EvalEngine engine;
-    const SearchOutcome outcome = strategy->run(cfg.space, engine, on);
+    const SearchOutcome outcome = strategy->run(cfg.space, engine, {});
     // The one wide batch stays on the engine pool: no delta split.
     EXPECT_EQ(outcome.stats.deltaEvals, 0);
     EXPECT_EQ(outcome.stats.fullEvals, outcome.stats.evaluations);
@@ -154,28 +189,40 @@ TEST(GuidedDelta, ParetoFrontiersIdenticalWithDeltaOnAndOff)
     ModelDesc desc = model_zoo::dlrmA();
     TaskSpec task = TaskSpec::preTraining();
 
+    // The same models the ParetoEngine prices with: timelines off.
+    PerfModelOptions opts;
+    opts.keepTimeline = false;
+    std::vector<PerfModel> perf;
+    for (const HardwarePoint &point : hw)
+        perf.emplace_back(point.cluster, opts);
+    std::vector<const PerfModel *> models;
+    for (const PerfModel &m : perf)
+        models.push_back(&m);
+
     for (const std::string &name :
          {std::string("annealing"), std::string("genetic")}) {
-        ParetoOptions on;
-        on.strategy = name;
-        on.search.maxEvaluations = 60;
-        on.search.deltaEval = true;
-        ParetoOptions off = on;
-        off.search.deltaEval = false;
+        ParetoOptions options;
+        options.strategy = name;
+        options.search.maxEvaluations = 60;
 
-        ParetoEngine engineOn(hw);
-        ParetoEngine engineOff(hw);
-        const ParetoFrontier a = engineOn.explore(desc, task, on);
-        const ParetoFrontier b = engineOff.explore(desc, task, off);
+        ParetoEngine engine(hw);
+        const ParetoFrontier a = engine.explore(desc, task, options);
 
-        EXPECT_EQ(paretoTrace(a.points), paretoTrace(b.points)) << name;
-        EXPECT_EQ(paretoTrace(a.bestPerHw), paretoTrace(b.bestPerHw))
+        EXPECT_EQ(paretoTrace(a.points),
+                  replayTrace(models, desc, task, visitsOf(a.points)))
             << name;
-        EXPECT_EQ(paretoTrace(a.candidates), paretoTrace(b.candidates))
+        EXPECT_EQ(paretoTrace(a.bestPerHw),
+                  replayTrace(models, desc, task, visitsOf(a.bestPerHw)))
             << name;
-        EXPECT_EQ(a.stats.evaluations, b.stats.evaluations) << name;
+        EvalStats replay;
+        EXPECT_EQ(paretoTrace(a.candidates),
+                  replayTrace(models, desc, task,
+                              visitsOf(a.candidates), &replay))
+            << name;
+        EXPECT_EQ(a.stats.evaluations, replay.evaluations) << name;
+        EXPECT_EQ(a.stats.pruned, replay.pruned) << name;
         expectDeltaSplitInvariant(a.stats, /*deltaOn=*/true);
-        expectDeltaSplitInvariant(b.stats, /*deltaOn=*/false);
+        expectDeltaSplitInvariant(replay, /*deltaOn=*/false);
     }
 }
 

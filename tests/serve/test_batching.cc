@@ -1,13 +1,12 @@
 /**
  * @file
- * Micro-batching + parsed-config-cache tests: concurrent evaluates
- * of one triple coalesce into a single engine batch with
- * byte-identical responses, repeat bodies skip parsing via the
- * config cache, whitespace-variant bodies share one ParsedTriple,
- * /v1/metrics speaks Prometheus, admission classification tiers
- * requests, SingleFlight deduplicates identical in-flight work, the
- * watchdog rescues requests queued behind a wedged batch leader, and
- * per-request deadlines abandon cleanly from either wait stage.
+ * Evaluate-path + parsed-config-cache tests: concurrent evaluates of
+ * one triple get byte-identical responses, repeat bodies skip
+ * parsing via the config cache, whitespace-variant bodies share one
+ * ParsedTriple, /v1/metrics speaks Prometheus, admission
+ * classification tiers requests, SingleFlight deduplicates identical
+ * in-flight work, and a wedged evaluation stalls only its own
+ * request.
  */
 
 #include <gtest/gtest.h>
@@ -54,13 +53,7 @@ testOptions()
 
 TEST(Batching, ConcurrentSameTripleRequestsCoalesceByteIdentically)
 {
-    ServiceOptions opts = testOptions();
-    // A generous window + a cut at exactly the thread count makes a
-    // single coalesced batch the overwhelmingly likely outcome (and
-    // stragglers degrade to memo hits, never to extra evaluations).
-    opts.batchWindowMicros = 250000;
-    opts.batchMax = 8;
-    EvalService service(opts);
+    EvalService service(testOptions());
     const std::string body = shippedTripleBody();
 
     constexpr int kThreads = 8;
@@ -83,18 +76,15 @@ TEST(Batching, ConcurrentSameTripleRequestsCoalesceByteIdentically)
     EXPECT_NE(responses[0].find("\"iteration_seconds\""),
               std::string::npos);
 
-    // One fresh evaluation total: in-batch duplicates collapse, and
-    // any straggler that missed the window hit the memo cache.
+    // Every request is accounted exactly once: answered from the
+    // memo (fast path or the engine's own lookup) or evaluated.
     EngineCounters c = service.engine().counters();
-    EXPECT_EQ(c.lifetime.evaluations, 1);
-    EXPECT_EQ(c.lifetime.cacheHits + c.lifetime.evaluations +
-                  service.dispatcher().stats().memoFastPath,
-              kThreads);
+    EXPECT_GE(c.lifetime.evaluations, 1);
+    EXPECT_EQ(c.lifetime.cacheHits + c.lifetime.evaluations, kThreads);
 
     BatchDispatcherStats b = service.dispatcher().stats();
-    EXPECT_GE(b.windows, 1);
-    EXPECT_GE(b.coalesced, 2) << "no coalescing happened at all";
-    EXPECT_LE(b.maxOccupancy, 8);
+    EXPECT_EQ(b.windows, b.requests);
+    EXPECT_EQ(b.coalesced, 0);
     EXPECT_EQ(b.requests + b.memoFastPath, kThreads);
 }
 
@@ -112,7 +102,7 @@ TEST(Batching, RepeatBodiesSkipParsingViaTheConfigCache)
     EXPECT_EQ(cc.hits, 1);
     EXPECT_EQ(cc.entries, 1u);
 
-    // The repeat also bypassed the batch window entirely.
+    // The repeat was answered from the engine memo fast path.
     EXPECT_EQ(service.dispatcher().stats().memoFastPath, 1);
 }
 
@@ -271,74 +261,40 @@ TEST(Batching, SingleFlightDeduplicatesIdenticalInFlightWork)
     EXPECT_EQ(other.body, "fresh");
 }
 
-TEST(Batching, WatchdogRescuesRequestsBehindAWedgedLeader)
+TEST(Batching, WedgedEvaluationStallsOnlyItsOwnRequest)
 {
-    // Thread A's evaluation wedges on an injected 600 ms delay while
-    // it is the batch leader. A request arriving behind it must not
-    // wait the full 600 ms: past the watchdog period it takes over as
-    // a rescue leader and submits the queued work as its own batch.
-    ServiceOptions opts = testOptions();
-    opts.jobs = 1;
-    opts.batchWindowMicros = 0;
-    opts.batchWatchdogMillis = 40;
-    EvalService service(opts);
+    // Thread A's evaluation wedges on an injected 600 ms delay. A
+    // second request for the same cold triple, sent while A is stuck,
+    // evaluates on its own worker and answers long before A does.
+    EvalService service(testOptions());
     FaultScope scope("engine.eval=delay:600000@nth:1");
 
+    std::atomic<bool> wedgedDone{false};
     HttpResponse wedgedResp;
     std::thread wedged([&] {
         wedgedResp =
             service.handle(evaluateRequest(shippedTripleBody()));
+        wedgedDone = true;
     });
-    std::this_thread::sleep_for(std::chrono::milliseconds(150));
+    // Let A reach the engine before sending the second request.
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
 
-    // Well past the 40 ms watchdog: this request rescues itself.
-    HttpResponse rescued =
-        service.handle(evaluateRequest(shippedTripleBody()));
-    EXPECT_EQ(rescued.status, 200);
-    EXPECT_EQ(service.dispatcher().stats().watchdogTakeovers, 1);
+    auto t0 = std::chrono::steady_clock::now();
+    HttpResponse second;
+    std::thread other([&] {
+        second = service.handle(evaluateRequest(shippedTripleBody()));
+    });
+    other.join();
+    auto waited = std::chrono::steady_clock::now() - t0;
+    EXPECT_EQ(second.status, 200);
+    EXPECT_FALSE(wedgedDone.load())
+        << "the second request waited for the wedged evaluation";
+    EXPECT_LT(waited, std::chrono::milliseconds(300));
 
     wedged.join();
-    // The wedged leader's own batch still completed normally.
     EXPECT_EQ(wedgedResp.status, 200);
-}
-
-TEST(Batching, DeadlineAbandonsARequestMidBatchEvaluation)
-{
-    // A leader's open window pulls the deadlined request into its
-    // batch; the injected delay then holds the batch past the
-    // deadline. The request abandons with stage "evaluating" — its
-    // shared slot outlives it for the leader to write into — and the
-    // leader itself, which never waits, completes normally.
-    ServiceOptions opts = testOptions();
-    opts.jobs = 1;
-    opts.batchWindowMicros = 200000;
-    opts.requestTimeoutMillis = 300;
-    EvalService service(opts);
-    FaultScope scope("engine.eval=delay:900000@nth:1");
-
-    HttpResponse leaderResp;
-    std::thread leader([&] {
-        leaderResp =
-            service.handle(evaluateRequest(shippedTripleBody()));
-    });
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-
-    HttpResponse resp =
-        service.handle(evaluateRequest(shippedTripleBody()));
-    EXPECT_EQ(resp.status, 504);
-    JsonValue doc = JsonValue::parse(resp.body);
-    EXPECT_EQ(doc.at("error").at("code").asString(),
-              "deadline_exceeded");
-    EXPECT_EQ(doc.at("error").at("detail").at("stage").asString(),
-              "evaluating");
-
-    leader.join();
-    EXPECT_EQ(leaderResp.status, 200);
-
-    BatchDispatcherStats b = service.dispatcher().stats();
-    EXPECT_EQ(b.deadlineTimeouts, 1);
-    EXPECT_EQ(b.windows, 1);     // One coalesced batch served both.
-    EXPECT_EQ(b.coalesced, 2);
+    EXPECT_EQ(wedgedResp.body, second.body);
+    EXPECT_EQ(service.dispatcher().stats().requests, 2);
 }
 
 TEST(Batching, LruCacheEvictsLeastRecentlyUsed)

@@ -123,8 +123,8 @@ TEST(CircuitBreaker, LostProbeForfeitsItsSlotAfterOneCooldown)
     failTimes(cb, 7, 2);
     std::this_thread::sleep_for(std::chrono::milliseconds(25));
     ASSERT_TRUE(cb.admit(7, &retry));
-    // The probe never records an outcome (e.g. its request hit the
-    // deadline). The key must not wedge rejected forever: after
+    // The probe never records an outcome (e.g. its evaluation
+    // wedged). The key must not wedge rejected forever: after
     // another cool-down the next request becomes the new probe.
     std::this_thread::sleep_for(std::chrono::milliseconds(25));
     EXPECT_TRUE(cb.admit(7, &retry));

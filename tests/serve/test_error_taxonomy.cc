@@ -2,7 +2,7 @@
  * @file
  * Error-taxonomy wire-contract tests: every error body the serving
  * stack can emit, pinned byte for byte — the {"error": {code,
- * detail?, message}} shape, the exact machine codes of
+ * message}} shape, the exact machine codes of
  * serve/errors.hh, and the Retry-After headers on the retryable
  * 503s. These goldens are the compatibility contract clients
  * dispatch on; changing any of them is an API break.
@@ -10,9 +10,7 @@
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <string>
-#include <thread>
 
 #include "config/json.hh"
 #include "serve/errors.hh"
@@ -53,14 +51,13 @@ goldenBody(const std::string &code, const std::string &message)
            "}\n";
 }
 
-/** An EvalService tuned for error-path tests: serial engine, no
- *  batching window, hair-trigger breaker. */
+/** An EvalService tuned for error-path tests: serial engine,
+ *  hair-trigger breaker. */
 ServiceOptions
 testServiceOptions()
 {
     ServiceOptions o;
     o.jobs = 1;
-    o.batchWindowMicros = 0;
     o.breakerFailureThreshold = 1;
     o.breakerOpenMillis = 1000;
     return o;
@@ -88,7 +85,6 @@ TEST(ErrorTaxonomy, SpecTablePinsEveryStatusAndCode)
         {ServeError::ResourceExhausted, 503, "resource_exhausted"},
         {ServeError::FdExhausted, 503, "fd_exhausted"},
         {ServeError::CircuitOpen, 503, "circuit_open"},
-        {ServeError::DeadlineExceeded, 504, "deadline_exceeded"},
     };
     for (const auto &e : expected) {
         EXPECT_EQ(serveErrorSpec(e.kind).status, e.status) << e.code;
@@ -106,29 +102,6 @@ TEST(ErrorTaxonomy, MakeErrorMatchesLegacyErrorResponseByteForByte)
     EXPECT_EQ(viaTaxonomy.status, viaLegacy.status);
     EXPECT_EQ(viaTaxonomy.body, viaLegacy.body);
     EXPECT_EQ(viaTaxonomy.body, goldenBody("bad_request", "x"));
-}
-
-TEST(ErrorTaxonomy, DeadlineBodyCarriesPartialWorkDetail)
-{
-    HttpResponse resp;
-    try {
-        throw DeadlineError(12, "queued");
-    } catch (...) {
-        resp = errorFromCurrentException();
-    }
-    EXPECT_EQ(resp.status, 504);
-    EXPECT_EQ(resp.body,
-              "{\n"
-              "  \"error\": {\n"
-              "    \"code\": \"deadline_exceeded\",\n"
-              "    \"detail\": {\n"
-              "      \"stage\": \"queued\",\n"
-              "      \"waited_ms\": 12\n"
-              "    },\n"
-              "    \"message\": \"request deadline exceeded after "
-              "12 ms (queued)\"\n"
-              "  }\n"
-              "}\n");
 }
 
 TEST(ErrorTaxonomy, CircuitOpenBodyCarriesRetryAfter)
@@ -336,46 +309,6 @@ TEST(ErrorTaxonomy, AcceptEmfileIs503FdExhaustedViaEmergencyFd)
         httpExchange(server.port(), getRequest("/v1/health"));
     EXPECT_EQ(statusOf(ok), 200);
     server.stop();
-}
-
-TEST(ErrorTaxonomy, DeadlineExceededEndToEndIs504)
-{
-    // The deadline gates WAITING, not evaluating: a lone request
-    // becomes the batch leader and always runs to completion, so the
-    // 504 path needs a request stuck behind a wedged leader. Thread A
-    // wedges on an injected 800 ms evaluation; the main thread's
-    // request then queues behind it and times out at its 50 ms
-    // deadline. The waited time is wall clock, so the body is
-    // asserted structurally here; DeadlineBodyCarriesPartialWorkDetail
-    // pins the exact bytes.
-    ServiceOptions sopts = testServiceOptions();
-    sopts.requestTimeoutMillis = 50;
-    sopts.breakerFailureThreshold = 1 << 20; // Keep the breaker out.
-    EvalService service(sopts);
-    FaultScope scope("engine.eval=delay:800000@nth:1");
-
-    HttpResponse leaderResp;
-    std::thread leader([&] {
-        leaderResp =
-            service.handle(post("/v1/evaluate", shippedTripleBody()));
-    });
-    // Let A reach the engine before queueing behind it.
-    std::this_thread::sleep_for(std::chrono::milliseconds(150));
-
-    HttpResponse resp =
-        service.handle(post("/v1/evaluate", shippedTripleBody()));
-    EXPECT_EQ(resp.status, 504);
-    JsonValue doc = JsonValue::parse(resp.body);
-    EXPECT_EQ(doc.at("error").at("code").asString(),
-              "deadline_exceeded");
-    EXPECT_GE(doc.at("error").at("detail").at("waited_ms").asLong(), 50);
-    EXPECT_EQ(doc.at("error").at("detail").at("stage").asString(),
-              "queued");
-    EXPECT_EQ(service.dispatcher().stats().deadlineTimeouts, 1);
-
-    leader.join();
-    // The wedged leader itself still completed normally.
-    EXPECT_EQ(leaderResp.status, 200);
 }
 
 } // namespace madmax

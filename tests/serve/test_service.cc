@@ -209,6 +209,22 @@ TEST(EvalService, ExploreRejectsOutOfRangeTop)
               400);
 }
 
+TEST(EvalService, ExploreRejectsNonIntegerTop)
+{
+    // Truncating 2.5 to 2 would silently answer a different question;
+    // the CLI's --top rejects fractions the same way.
+    EvalService service;
+    JsonValue body = JsonValue::parse(shippedTripleBody());
+    body.set("top", 2.5);
+    HttpResponse resp = service.handle(post("/v1/explore", body.dump(2)));
+    EXPECT_EQ(resp.status, 400);
+    JsonValue doc = JsonValue::parse(resp.body);
+    EXPECT_EQ(doc.at("error").at("code").asString(), "bad_request");
+    EXPECT_NE(doc.at("error").at("message").asString().find(
+                  "\"top\" must be an integer"),
+              std::string::npos);
+}
+
 namespace
 {
 
@@ -309,6 +325,43 @@ TEST(EvalService, ParetoRejectsBadInput)
         400);
 
     EXPECT_EQ(service.stats().errors, 4);
+}
+
+TEST(EvalService, ParetoRejectsNonIntegerNodesBudgetAndSeed)
+{
+    EvalService service;
+    auto expectRejected = [&](const JsonValue &body, const char *key) {
+        HttpResponse resp =
+            service.handle(post("/v1/pareto", body.dump(2)));
+        EXPECT_EQ(resp.status, 400) << key;
+        JsonValue doc = JsonValue::parse(resp.body);
+        EXPECT_EQ(doc.at("error").at("code").asString(), "bad_request")
+            << key;
+        EXPECT_NE(doc.at("error").at("message").asString().find(
+                      std::string("\"") + key + "\" must be an integer"),
+                  std::string::npos)
+            << key;
+    };
+
+    // "nodes" sizes the catalog axis, which needs no "system".
+    JsonValue catalog;
+    catalog.set("model", paretoBody().at("model"));
+    catalog.set("task", paretoBody().at("task"));
+    catalog.set("catalog", "cloud");
+    catalog.set("nodes", 4.5);
+    expectRejected(catalog, "nodes");
+
+    JsonValue budget = paretoBody();
+    budget.set("budget", 12.7);
+    expectRejected(budget, "budget");
+
+    JsonValue seed = paretoBody();
+    seed.set("seed", 1.5);
+    expectRejected(seed, "seed");
+
+    EXPECT_EQ(service.stats().errors, 3);
+    EXPECT_EQ(service.engine().counters().lifetime.requests(), 0)
+        << "rejected before any search ran";
 }
 
 TEST(EvalService, ParetoRequestsAreCountedInStats)

@@ -14,10 +14,8 @@
  *   madmax describe --model m.json
  *   madmax serve    [--port N] [--jobs N] [--workers N]
  *       [--queue-depth N] [--idle-timeout SEC] [--keep-alive-max N]
- *       [--batch-window-us N] [--batch-max N] [--config-cache N]
- *       [--request-timeout-ms N] [--breaker-threshold N]
- *       [--breaker-open-ms N] [--batch-watchdog-ms N]
- *       [--faults SPEC]
+ *       [--config-cache N] [--breaker-threshold N]
+ *       [--breaker-open-ms N] [--faults SPEC]
  *
  * Exit codes: 0 success, 1 usage/configuration error (including
  * unknown flags), 2 evaluated but the plan does not fit device
@@ -76,10 +74,8 @@ usage()
         "  madmax describe --model M.json\n"
         "  madmax serve    [--port N] [--jobs N] [--workers N]\n"
         "                  [--queue-depth N] [--idle-timeout SEC]\n"
-        "                  [--keep-alive-max N] [--batch-window-us N]\n"
-        "                  [--batch-max N] [--config-cache N]\n"
-        "                  [--request-timeout-ms N] [--breaker-threshold N]\n"
-        "                  [--breaker-open-ms N] [--batch-watchdog-ms N]\n"
+        "                  [--keep-alive-max N] [--config-cache N]\n"
+        "                  [--breaker-threshold N] [--breaker-open-ms N]\n"
         "                  [--faults SPEC]  (docs/resilience.md)\n"
         "see docs/cli.md for the full flag and exit-code reference\n";
     return 1;
@@ -497,20 +493,12 @@ cmdServe(const std::map<std::string, std::string> &flags)
 {
     ServiceOptions sopts;
     sopts.jobs = static_cast<int>(intFlag(flags, "jobs", 0, 0, 4096));
-    sopts.batchWindowMicros =
-        intFlag(flags, "batch-window-us", 100, 0, 1000000);
-    sopts.batchMax = static_cast<size_t>(
-        intFlag(flags, "batch-max", 64, 1, 4096));
     sopts.configCacheCapacity = static_cast<size_t>(
         intFlag(flags, "config-cache", 1024, 1, 1L << 20));
-    sopts.requestTimeoutMillis =
-        intFlag(flags, "request-timeout-ms", 0, 0, 3600000);
     sopts.breakerFailureThreshold = static_cast<int>(
         intFlag(flags, "breaker-threshold", 5, 1, 1 << 20));
     sopts.breakerOpenMillis =
         intFlag(flags, "breaker-open-ms", 1000, 1, 3600000);
-    sopts.batchWatchdogMillis =
-        intFlag(flags, "batch-watchdog-ms", 2000, 0, 3600000);
 
     // Fault injection (docs/resilience.md): the flag wins over the
     // MADMAX_FAULTS environment variable; either arms the same
@@ -597,10 +585,8 @@ main(int argc, char **argv)
         if (cmd == "serve") {
             spec.value = {"port", "jobs", "workers", "queue-depth",
                           "idle-timeout", "keep-alive-max",
-                          "batch-window-us", "batch-max",
-                          "config-cache", "request-timeout-ms",
-                          "breaker-threshold", "breaker-open-ms",
-                          "batch-watchdog-ms", "faults"};
+                          "config-cache", "breaker-threshold",
+                          "breaker-open-ms", "faults"};
             return cmdServe(parseFlags(argc, argv, 2, cmd, spec));
         }
         std::cerr << "unknown command: " << cmd << "\n";
